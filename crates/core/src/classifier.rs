@@ -9,7 +9,7 @@
 use crate::par::par_map;
 use db_dtree::{ConfusionMatrix, DecisionTree, TableClassifier, TrainConfig};
 use db_flowmon::dataset::Labeler;
-use db_flowmon::{Dataset, NetworkMonitor, WindowConfig};
+use db_flowmon::{split_balanced, Dataset, FlowStatus, NetworkMonitor, Sample, WindowConfig};
 use db_netsim::{FailureScenario, SimConfig, SimTime, Simulator, TrafficConfig, TrafficGen};
 use db_topology::{CsrTopology, LinkId, NodeId, OnDemandRoutes, Routes, Topology};
 use db_util::Pcg64;
@@ -206,7 +206,7 @@ pub fn prepare(topo: Topology, cfg: &PrepareConfig) -> Prepared {
         scenarios.push((FailureScenario::none(), cfg.seed ^ (0x200 + i as u64)));
     }
 
-    // Simulate in parallel; merge datasets.
+    // Simulate in parallel, one dataset per scenario.
     let datasets = par_map(scenarios, |(scenario, seed)| {
         scenario_dataset(
             &topo,
@@ -217,27 +217,30 @@ pub fn prepare(topo: Topology, cfg: &PrepareConfig) -> Prepared {
             *seed,
         )
     });
-    let mut full = Dataset::default();
-    for d in datasets {
-        full.extend(d);
-    }
-    assert!(!full.is_empty(), "training produced no samples");
+    // The per-scenario datasets stay where they are: the split and the
+    // balancing pick indices, and only the balanced training examples are
+    // copied. Labels are gathered into one contiguous vector because the
+    // split reads them in shuffled order.
+    let samples: Vec<&Sample> = datasets.iter().flat_map(|d| &d.samples).collect();
+    assert!(!samples.is_empty(), "training produced no samples");
+    let labels: Vec<FlowStatus> = samples.iter().map(|s| s.label).collect();
 
     // 3:1 split, balance the training side, train, compile.
     let mut split_rng = Pcg64::new_stream(cfg.seed, 0x5711);
-    let (train_raw, test) = full.split(0.75, &mut split_rng);
-    let train = train_raw.balanced(cfg.balance_ratio, &mut split_rng);
+    let (train, mut test) = split_balanced(&labels, 0.75, cfg.balance_ratio, &mut split_rng);
     let examples: Vec<_> = train
-        .samples
         .iter()
-        .map(|s| (s.features, s.label))
+        .map(|&i| (samples[i].features, labels[i]))
         .collect();
     let tree = DecisionTree::train(&examples, &cfg.tree);
     let table = TableClassifier::compile(&tree);
-    let confusion =
-        ConfusionMatrix::evaluate(test.samples.iter().map(|s| (&s.features, s.label)), |x| {
-            table.classify(x)
-        });
+    // The confusion matrix is a count, so score the held-out samples in
+    // memory order rather than shuffled order.
+    test.sort_unstable();
+    let confusion = ConfusionMatrix::evaluate(
+        test.iter().map(|&i| (&samples[i].features, labels[i])),
+        |x| table.classify(x),
+    );
     Prepared {
         topo,
         routes,
@@ -245,7 +248,7 @@ pub fn prepare(topo: Topology, cfg: &PrepareConfig) -> Prepared {
         tree,
         table,
         confusion,
-        train_samples: train.len(),
+        train_samples: examples.len(),
         test_samples: test.len(),
         interval: cfg.interval,
     }

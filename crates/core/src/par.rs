@@ -6,16 +6,17 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// How many items a worker claims per `fetch_add`. Chunked self-scheduling
-/// amortizes contention on the shared cursor while staying fine-grained
-/// enough that a slow scenario cannot strand a large tail on one worker.
-const CHUNK: usize = 4;
-
 /// Apply `f` to every item on a pool of worker threads, returning results in
 /// input order. Uses `std::thread::available_parallelism` workers (capped by
 /// the item count) unless the `DB_THREADS` environment variable overrides the
 /// count (`DB_THREADS=1` forces the sequential path — handy for profiling
 /// and for bit-exact single-threaded repros).
+///
+/// Workers claim one item at a time from a shared cursor. Items are whole
+/// simulations (milliseconds each), so one `fetch_add` per item costs
+/// nothing measurable, while claiming in larger chunks unbalances short
+/// lists: with chunks of 4, the 12 training scenarios of `prepare` split
+/// 8/4 between two workers (DESIGN.md §9, "Cold prepare").
 ///
 /// # Panics
 ///
@@ -62,14 +63,12 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let start = next.fetch_add(CHUNK, Ordering::Relaxed);
-                if start >= n {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
                     break;
                 }
-                for i in start..(start + CHUNK).min(n) {
-                    let r = f(&items[i]);
-                    *results[i].lock().expect("poisoned result slot") = Some(r);
-                }
+                let r = f(&items[i]);
+                *results[i].lock().expect("poisoned result slot") = Some(r);
             });
         }
     });
@@ -127,7 +126,7 @@ mod tests {
 
     #[test]
     fn explicit_worker_counts_agree() {
-        let items: Vec<u32> = (0..37).collect(); // not a multiple of CHUNK
+        let items: Vec<u32> = (0..37).collect();
         let seq = par_map_with_workers(items.clone(), 1, |&x| x * 3 + 1);
         for workers in [2, 3, 8, 64] {
             assert_eq!(
@@ -139,8 +138,8 @@ mod tests {
     }
 
     #[test]
-    fn chunk_tail_is_covered() {
-        // Item counts around the chunk boundary: every slot must be filled.
+    fn every_slot_is_filled() {
+        // Small item counts, fewer and more than the workers.
         for n in [1usize, 3, 4, 5, 7, 8, 9] {
             let out = par_map_with_workers((0..n as u64).collect(), 2, |&x| x + 1);
             assert_eq!(out, (1..=n as u64).collect::<Vec<u64>>(), "n = {n}");

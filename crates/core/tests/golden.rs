@@ -12,7 +12,9 @@
 //! If this test fails after a perf change, the change altered simulation
 //! semantics; do not re-pin without understanding exactly why.
 
-use db_core::{prepare, run_scenario, PrepareConfig, ScenarioKind, ScenarioSetup, VariantSpec};
+use db_core::{
+    prepare, run_scenario, PrepareConfig, Prepared, ScenarioKind, ScenarioSetup, VariantSpec,
+};
 use db_telemetry::ScopeRecorder;
 use db_topology::{zoo, NodeId};
 use std::fmt::Write as _;
@@ -22,17 +24,19 @@ fn fingerprint() -> String {
     fingerprint_with(None)
 }
 
+/// The training configuration every golden test prepares with.
+fn golden_prepare_cfg() -> PrepareConfig {
+    PrepareConfig {
+        n_link_scenarios: 4,
+        n_node_scenarios: 1,
+        n_healthy: 1,
+        train_density: 1.0,
+        ..Default::default()
+    }
+}
+
 fn fingerprint_with(scope: Option<Arc<ScopeRecorder>>) -> String {
-    let prep = prepare(
-        zoo::grid(3, 3),
-        &PrepareConfig {
-            n_link_scenarios: 4,
-            n_node_scenarios: 1,
-            n_healthy: 1,
-            train_density: 1.0,
-            ..Default::default()
-        },
-    );
+    let prep = prepare(zoo::grid(3, 3), &golden_prepare_cfg());
     let mut setup = ScenarioSetup::flagship(&prep, 1.0, 42);
     setup.variants = VariantSpec::fig8_set();
     setup.sys.ratio_sampling = 8;
@@ -155,5 +159,60 @@ fn fig8_scenario_matches_golden_snapshot_while_traced() {
         got == GOLDEN,
         "tracing changed scenario output — db-scope must be observational\n\
          --- got ---\n{got}\n--- golden ---\n{GOLDEN}"
+    );
+}
+
+/// What a training pin compares: digests of the tree as rendered and of
+/// its compiled match-action rules (whose `Debug` prints every threshold
+/// bit-exactly), the rule count, the held-out confusion matrix and both
+/// split sizes.
+fn training_pin(prep: &Prepared) -> (u64, u64, usize, [u64; 4], [usize; 2]) {
+    let digest = |s: &str| db_util::wire::fnv1a64(s.as_bytes());
+    let cm = prep.confusion;
+    (
+        digest(&prep.tree.render()),
+        digest(&format!("{:?}", prep.table.rules())),
+        prep.table.len(),
+        [cm.tp, cm.fp, cm.fn_, cm.tn],
+        [prep.train_samples, prep.test_samples],
+    )
+}
+
+/// Training itself is pinned on the golden configuration. A change to how
+/// `prepare` simulates, splits, balances or scores must leave it unchanged.
+#[test]
+fn golden_prepare_is_pinned() {
+    let prep = prepare(zoo::grid(3, 3), &golden_prepare_cfg());
+    assert_eq!(
+        training_pin(&prep),
+        (
+            0xc5d7_745a_4439_3c4a,
+            0x4e38_9b4b_468e_81da,
+            2,
+            [17, 120, 0, 3215],
+            [270, 3352],
+        ),
+        "tree:\n{}",
+        prep.tree.render()
+    );
+}
+
+/// The same pin on the default training configuration over a larger grid,
+/// where the tree grows past a single split and the training split is
+/// downsampled.
+#[test]
+fn default_prepare_on_a_larger_grid_is_pinned() {
+    let prep = prepare(zoo::grid(5, 5), &PrepareConfig::default());
+    assert_eq!(
+        training_pin(&prep),
+        (
+            0x5313_e1bb_4e4d_1756,
+            0x6463_fb0a_ce43_b420,
+            8,
+            [270, 487, 0, 46778],
+            [4130, 47535],
+        ),
+        "tree:\n{}",
+        prep.tree.render()
     );
 }

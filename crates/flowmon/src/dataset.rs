@@ -197,56 +197,65 @@ impl Dataset {
             .count();
         (self.samples.len() - abnormal, abnormal)
     }
+}
 
-    /// Append another dataset.
-    pub fn extend(&mut self, other: Dataset) {
-        self.samples.extend(other.samples);
-    }
+/// The §6.1 3:1 split with training-side class balancing, as index
+/// vectors over `labels` (one label per sample, in dataset order), so no
+/// sample is copied.
+///
+/// Shuffles `0..labels.len()`, cuts the first `train_fraction` (rounded)
+/// for training, then downsamples the training side's majority class to at
+/// most `ratio` times its minority class (unless the minority is empty or
+/// the majority is already within the cap). Returns `(train, test)`:
+/// `train` lists the kept training samples in shuffled order, `test` the
+/// held-out samples in shuffled order.
+pub fn split_balanced(
+    labels: &[FlowStatus],
+    train_fraction: f64,
+    ratio: f64,
+    rng: &mut Pcg64,
+) -> (Vec<usize>, Vec<usize>) {
+    assert!(
+        (0.0..=1.0).contains(&train_fraction),
+        "train fraction must be in [0,1]"
+    );
+    assert!(ratio >= 1.0, "ratio must be at least 1");
+    let mut idx: Vec<usize> = (0..labels.len()).collect();
+    rng.shuffle(&mut idx);
+    let cut = (labels.len() as f64 * train_fraction).round() as usize;
+    let test = idx.split_off(cut);
+    let mut train = idx;
 
-    /// Shuffle and split train/test at `train_fraction` (the paper uses 3:1,
-    /// i.e. 0.75).
-    pub fn split(&self, train_fraction: f64, rng: &mut Pcg64) -> (Dataset, Dataset) {
-        assert!(
-            (0.0..=1.0).contains(&train_fraction),
-            "train fraction must be in [0,1]"
-        );
-        let mut idx: Vec<usize> = (0..self.samples.len()).collect();
-        rng.shuffle(&mut idx);
-        let cut = (self.samples.len() as f64 * train_fraction).round() as usize;
-        let train = idx[..cut].iter().map(|&i| self.samples[i]).collect();
-        let test = idx[cut..].iter().map(|&i| self.samples[i]).collect();
-        (Dataset { samples: train }, Dataset { samples: test })
+    let abnormal = train
+        .iter()
+        .filter(|&&i| labels[i] == FlowStatus::Abnormal)
+        .count();
+    let normal = train.len() - abnormal;
+    let (major, minor, major_label) = if normal >= abnormal {
+        (normal, abnormal, FlowStatus::Normal)
+    } else {
+        (abnormal, normal, FlowStatus::Abnormal)
+    };
+    if minor == 0 || (major as f64) <= ratio * minor as f64 {
+        return (train, test);
     }
-
-    /// Downsample the majority class to at most `ratio` times the minority
-    /// class (class imbalance control for training).
-    pub fn balanced(&self, ratio: f64, rng: &mut Pcg64) -> Dataset {
-        assert!(ratio >= 1.0, "ratio must be at least 1");
-        let (normal, abnormal) = self.class_counts();
-        let (major, minor, major_label) = if normal >= abnormal {
-            (normal, abnormal, FlowStatus::Normal)
-        } else {
-            (abnormal, normal, FlowStatus::Abnormal)
-        };
-        if minor == 0 || (major as f64) <= ratio * minor as f64 {
-            return self.clone();
-        }
-        let keep_major = (ratio * minor as f64).round() as usize;
-        let major_idx: Vec<usize> = (0..self.samples.len())
-            .filter(|&i| self.samples[i].label == major_label)
-            .collect();
-        let chosen = rng.sample_indices(major_idx.len(), keep_major);
-        let keep: std::collections::BTreeSet<usize> =
-            chosen.into_iter().map(|i| major_idx[i]).collect();
-        let samples = self
-            .samples
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| s.label != major_label || keep.contains(i))
-            .map(|(_, s)| *s)
-            .collect();
-        Dataset { samples }
+    let keep_major = (ratio * minor as f64).round() as usize;
+    // Positions (within `train`) of the majority class; draw which of
+    // them survive, then filter `train` in place, keeping its order.
+    let major_pos: Vec<usize> = (0..train.len())
+        .filter(|&p| labels[train[p]] == major_label)
+        .collect();
+    let mut keep = vec![false; train.len()];
+    for c in rng.sample_indices(major_pos.len(), keep_major) {
+        keep[major_pos[c]] = true;
     }
+    let mut p = 0;
+    train.retain(|&i| {
+        let kept = labels[i] != major_label || keep[p];
+        p += 1;
+        kept
+    });
+    (train, test)
 }
 
 #[cfg(test)]
@@ -326,19 +335,30 @@ mod tests {
     #[test]
     fn split_preserves_size_and_disjointness() {
         let (ds, _) = build_line_dataset(3);
+        let labels: Vec<FlowStatus> = ds.samples.iter().map(|s| s.label).collect();
         let mut rng = Pcg64::new(7);
-        let (train, test) = ds.split(0.75, &mut rng);
+        // An infinite cap keeps the whole training side.
+        let (train, test) = split_balanced(&labels, 0.75, f64::INFINITY, &mut rng);
         assert_eq!(train.len() + test.len(), ds.len());
         let expected = (ds.len() as f64 * 0.75).round() as usize;
         assert_eq!(train.len(), expected);
+        let mut all: Vec<usize> = train.into_iter().chain(test).collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..ds.len()).collect::<Vec<_>>());
     }
 
     #[test]
     fn balanced_caps_majority() {
         let (ds, _) = build_line_dataset(4);
+        let labels: Vec<FlowStatus> = ds.samples.iter().map(|s| s.label).collect();
         let mut rng = Pcg64::new(8);
-        let bal = ds.balanced(3.0, &mut rng);
-        let (n, a) = bal.class_counts();
+        let (train, test) = split_balanced(&labels, 1.0, 3.0, &mut rng);
+        assert!(test.is_empty());
+        let a = train
+            .iter()
+            .filter(|&&i| labels[i] == FlowStatus::Abnormal)
+            .count();
+        let n = train.len() - a;
         assert!(a > 0);
         assert!(
             n as f64 <= 3.0 * a as f64 + 1.0,
@@ -346,6 +366,108 @@ mod tests {
         );
         // All abnormal samples kept.
         assert_eq!(a, ds.class_counts().1);
+    }
+
+    /// A seeded synthetic dataset: `n` samples, each abnormal with
+    /// probability `p_abnormal`; sample `i` carries `FlowId(i)` so a pick
+    /// names the sample it came from.
+    fn synthetic(n: u32, p_abnormal: f64, seed: u64) -> Dataset {
+        let mut rng = Pcg64::new(seed);
+        let samples = (0..n)
+            .map(|i| Sample {
+                switch: NodeId(0),
+                flow: FlowId(i),
+                at: SimTime::from_ms(u64::from(i)),
+                features: [0.0; crate::window::NUM_FEATURES],
+                label: if rng.chance(p_abnormal) {
+                    FlowStatus::Abnormal
+                } else {
+                    FlowStatus::Normal
+                },
+            })
+            .collect();
+        Dataset { samples }
+    }
+
+    /// Picks of `split_balanced` on a synthetic dataset, as sample ids.
+    fn picks(n: u32, p_abnormal: f64, seed: u64, ratio: f64) -> (Vec<u32>, Vec<u32>) {
+        let ds = synthetic(n, p_abnormal, seed);
+        let labels: Vec<FlowStatus> = ds.samples.iter().map(|s| s.label).collect();
+        let mut rng = Pcg64::new(seed + 100);
+        let (train, test) = split_balanced(&labels, 0.75, ratio, &mut rng);
+        let ids = |v: &[usize]| v.iter().map(|&i| ds.samples[i].flow.0).collect();
+        (ids(&train), ids(&test))
+    }
+
+    fn digest(ids: &[u32]) -> u64 {
+        let bytes: Vec<u8> = ids.iter().flat_map(|x| x.to_be_bytes()).collect();
+        db_util::wire::fnv1a64(&bytes)
+    }
+
+    /// The expected picks below were captured from the copying
+    /// `Dataset::split` followed by `Dataset::balanced` that
+    /// `split_balanced` replaced: same draws, same samples, same order.
+    #[test]
+    fn split_balanced_matches_the_copying_split() {
+        // Downsampling branch (35 normal vs 5 abnormal, cap 2:1).
+        let (train, test) = picks(40, 0.15, 21, 2.0);
+        assert_eq!(train, [28, 3, 8, 36, 34, 39, 7, 19, 22, 9, 21, 33]);
+        assert_eq!(test, [0, 11, 12, 35, 31, 10, 32, 6, 2, 14]);
+        // Keep-all branch: the same split, already within an 8:1 cap.
+        let (train, test) = picks(40, 0.15, 21, 8.0);
+        assert_eq!(
+            train,
+            [
+                25, 24, 28, 3, 4, 8, 36, 17, 13, 30, 34, 23, 39, 37, 29, 26, 18, 7, 5, 19, 1, 27,
+                15, 38, 22, 16, 20, 9, 21, 33
+            ]
+        );
+        assert_eq!(test, [0, 11, 12, 35, 31, 10, 32, 6, 2, 14]);
+        // Larger sets: normal majority downsampled, within the cap, an
+        // abnormal majority downsampled, and no minority at all.
+        for (n, p, seed, len, dtrain, dtest) in [
+            (
+                5000,
+                0.07,
+                22,
+                1315,
+                0x5bba_e822_140d_59fe,
+                0x9ab7_99a7_c506_57a2,
+            ),
+            (
+                5000,
+                0.3,
+                23,
+                3750,
+                0x3d3c_4cd9_0700_af04,
+                0xee17_d215_6c8f_534c,
+            ),
+            (
+                5000,
+                0.9,
+                24,
+                1965,
+                0xe05e_e6af_a3b9_85e4,
+                0xfd5f_6e02_7962_e057,
+            ),
+            (
+                300,
+                0.0,
+                25,
+                225,
+                0x50b3_0f91_dcf9_39ce,
+                0x3787_dbc0_f1ff_444a,
+            ),
+        ] {
+            let (train, test) = picks(n, p, seed, 4.0);
+            assert_eq!(train.len(), len, "n={n} p={p}");
+            assert_eq!(test.len(), n as usize / 4, "n={n} p={p}");
+            assert_eq!(
+                (digest(&train), digest(&test)),
+                (dtrain, dtest),
+                "n={n} p={p}"
+            );
+        }
     }
 
     #[test]

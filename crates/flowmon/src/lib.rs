@@ -25,7 +25,7 @@ pub mod monitor;
 pub mod registers;
 pub mod window;
 
-pub use dataset::{Dataset, FlowStatus, Sample};
+pub use dataset::{split_balanced, Dataset, FlowStatus, Sample};
 pub use measures::{IntervalMeasures, SUB_INTERVALS};
 pub use metrics::FlowmonMetrics;
 pub use monitor::{DiscardSink, NetworkMonitor, SwitchMonitor, WindowSink};

@@ -516,12 +516,34 @@ impl Shared {
     /// Persist already-extracted snapshot bytes to the configured path.
     /// Takes bytes, not the engine state, so callers snapshot under the
     /// engine lock and write to disk after dropping it.
+    ///
+    /// Crash-consistent: the bytes go to `<path>.tmp`, are synced, and the
+    /// file is then renamed over `<path>`, so a crash mid-write leaves the
+    /// last good snapshot in place. Restore only ever reads `<path>`.
+    /// Syncing the directory afterwards makes the rename itself durable.
     fn persist(&self, bytes: &[u8]) -> io::Result<()> {
         if let Some(path) = &self.snapshot {
-            std::fs::write(path, bytes)?;
+            let tmp = tmp_path(path);
+            let mut file = std::fs::File::create(&tmp)?;
+            file.write_all(bytes)?;
+            file.sync_all()?;
+            drop(file);
+            std::fs::rename(&tmp, path)?;
+            let dir = match path.parent() {
+                Some(d) if !d.as_os_str().is_empty() => d,
+                _ => std::path::Path::new("."),
+            };
+            std::fs::File::open(dir)?.sync_all()?;
         }
         Ok(())
     }
+}
+
+/// The staging file a snapshot is written to before it replaces `path`.
+fn tmp_path(path: &std::path::Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
 }
 
 /// Why a session ended.
@@ -667,15 +689,19 @@ fn session<R: Read, W: Write>(
     }
 }
 
-/// Ingest a record batch: bounds-check switch ids (a bad id would index
-/// outside the monitor table), feed the engine, publish warnings.
+/// Ingest a record batch: bounds-check every switch id first (a bad id
+/// would index outside the monitor table), so a rejected batch applies
+/// nothing, then feed the engine and publish warnings.
 fn ingest(state: &mut EngineState, records: &[Record]) -> Frame {
     let nodes = state.nodes;
+    let bad = records.iter().position(|r| {
+        u32::from(r.node) >= nodes || u32::from(r.src) >= nodes || u32::from(r.dst) >= nodes
+    });
+    if let Some(i) = bad {
+        return Frame::Error(format!("record {i}: switch id out of range"));
+    }
     let mut raised = Vec::new();
-    for (i, r) in records.iter().enumerate() {
-        if u32::from(r.node) >= nodes || u32::from(r.src) >= nodes || u32::from(r.dst) >= nodes {
-            return Frame::Error(format!("record {i}: switch id out of range"));
-        }
+    for r in records {
         raised.extend(state.engine.ingest(&flow_record(r)));
         state.ingested += 1;
     }
@@ -939,6 +965,22 @@ mod tests {
         }
     }
 
+    /// Run one in-memory stdio session over `frames`; return the replies.
+    fn run_session(shared: &Shared, frames: &[Frame]) -> Vec<Frame> {
+        let mut request = Vec::new();
+        for f in frames {
+            write_frame(&mut request, f).unwrap();
+        }
+        let mut out = Vec::new();
+        session(&mut io::Cursor::new(request), &mut out, shared, None).unwrap();
+        let mut cur = io::Cursor::new(out);
+        let mut replies = Vec::new();
+        while let Some(f) = read_frame(&mut cur).unwrap() {
+            replies.push(f);
+        }
+        replies
+    }
+
     /// End-to-end over an in-memory stdio-style session: hello on a small
     /// grid, replay a recorded center-link-failure trace, expect the failed
     /// link warned, snapshot/stats frames to behave, and a one-shot
@@ -949,34 +991,27 @@ mod tests {
         let (records, end_ns, link) = record_grid_trace();
         let total = records.len();
 
-        let mut request = Vec::new();
-        write_frame(&mut request, &grid_hello()).unwrap();
-        for chunk in records.chunks(512) {
-            write_frame(&mut request, &Frame::Records(chunk.to_vec())).unwrap();
-        }
-        write_frame(&mut request, &Frame::AdvanceTo { t_ns: end_ns }).unwrap();
-        write_frame(&mut request, &Frame::StatsReq).unwrap();
-        write_frame(&mut request, &Frame::PulseReq { from_window: 0 }).unwrap();
-        write_frame(&mut request, &Frame::SnapshotReq).unwrap();
-
-        let opts = ServeOptions {
+        let mut frames = vec![grid_hello()];
+        frames.extend(records.chunks(512).map(|c| Frame::Records(c.to_vec())));
+        frames.extend([
+            Frame::AdvanceTo { t_ns: end_ns },
+            Frame::StatsReq,
+            Frame::PulseReq { from_window: 0 },
+            Frame::SnapshotReq,
+        ]);
+        let shared = Shared::new(&ServeOptions {
             addr: DEFAULT_ADDR.into(),
             snapshot: None,
             window_cap: 0,
             prom_addr: None,
-        };
-        let shared = Shared::new(&opts);
-        let mut input = io::Cursor::new(request);
-        let mut out = Vec::new();
-        session(&mut input, &mut out, &shared, None).unwrap();
+        });
 
-        let mut cur = io::Cursor::new(out);
         let mut warned = Vec::new();
         let mut stats = None;
         let mut pulse = None;
         let mut snapshot_len = 0;
         let mut acks = 0u32;
-        while let Some(f) = read_frame(&mut cur).unwrap() {
+        for f in run_session(&shared, &frames) {
             match f {
                 Frame::HelloAck { proto, nodes, .. } => {
                     assert_eq!(proto, PROTO_VERSION);
@@ -1282,55 +1317,142 @@ mod tests {
         drop(client);
     }
 
+    /// Frames before `Hello` are refused, and a batch with one bad switch
+    /// id is rejected whole: nothing before the bad record is applied, the
+    /// error names the record, and the engine takes the corrected batch
+    /// afterwards.
     #[test]
     fn session_rejects_records_before_hello_and_bad_switch_ids() {
         std::env::set_var("DB_SMOKE", "1"); // keep engine-build training small
-        let opts = ServeOptions {
+        let shared = Shared::new(&ServeOptions {
             addr: DEFAULT_ADDR.into(),
             snapshot: None,
             window_cap: 0,
             prom_addr: None,
+        });
+        let record = |i: u64, node: u16| Record {
+            at_ns: (i + 1) * 3_000_000,
+            flow: 0,
+            src: 0,
+            dst: 2,
+            seq: i,
+            size: 100,
+            node,
+            hop_index: usize::from(node),
+            is_ingress: node == 0,
+            is_last_switch: node == 2,
         };
-        let shared = Shared::new(&opts);
-        let mut request = Vec::new();
-        write_frame(&mut request, &Frame::StatsReq).unwrap();
-        write_frame(
-            &mut request,
-            &Frame::Hello {
-                proto: PROTO_VERSION,
-                topo: "line:3".into(),
-                density: 1.0,
-                seed: 1,
-                window_cap: 0,
-            },
-        )
-        .unwrap();
-        write_frame(
-            &mut request,
-            &Frame::Records(vec![Record {
-                at_ns: 1,
-                flow: 0,
-                src: 0,
-                dst: 2,
-                seq: 0,
-                size: 100,
-                node: 99,
-                hop_index: 0,
-                is_ingress: true,
-                is_last_switch: false,
-            }]),
-        )
-        .unwrap();
-        let mut input = io::Cursor::new(request);
-        let mut out = Vec::new();
-        session(&mut input, &mut out, &shared, None).unwrap();
-        let mut cur = io::Cursor::new(out);
-        let mut errors = 0;
-        while let Some(f) = read_frame(&mut cur).unwrap() {
-            if matches!(f, Frame::Error(_)) {
-                errors += 1;
-            }
-        }
-        assert_eq!(errors, 2, "stats-before-hello and out-of-range switch");
+        let mut batch: Vec<Record> = (0..6).map(|i| record(i, (i % 3) as u16)).collect();
+        batch[3].node = 99;
+        let good: Vec<Record> = batch.iter().filter(|r| r.node != 99).cloned().collect();
+        let replies = run_session(
+            &shared,
+            &[
+                Frame::StatsReq,
+                Frame::Hello {
+                    proto: PROTO_VERSION,
+                    topo: "line:3".into(),
+                    density: 1.0,
+                    seed: 1,
+                    window_cap: 0,
+                },
+                Frame::StatsReq,
+                Frame::Records(batch),
+                Frame::StatsReq,
+                Frame::Records(good),
+                Frame::StatsReq,
+            ],
+        );
+        let stats: Vec<(u64, u64, u64)> = replies
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Stats {
+                    now_ns,
+                    ticks,
+                    ingested,
+                    ..
+                } => Some((*now_ns, *ticks, *ingested)),
+                _ => None,
+            })
+            .collect();
+        assert!(matches!(&replies[0], Frame::Error(m) if m == "hello first"));
+        assert!(
+            matches!(&replies[3], Frame::Error(m) if m == "record 3: switch id out of range"),
+            "got {:?}",
+            replies[3]
+        );
+        assert_eq!(stats.len(), 3);
+        assert_eq!(
+            stats[1], stats[0],
+            "a rejected batch leaves clock and count"
+        );
+        assert_eq!(stats[2].2, 5, "the corrected batch is applied");
+        assert!(stats[2].0 > stats[0].0, "and moves the clock");
+    }
+
+    /// Snapshots are written to `<path>.tmp` and renamed into place: a
+    /// stale, truncated `.tmp` left by a crash neither replaces the last
+    /// good snapshot nor breaks restore, and the next persist supersedes it.
+    #[test]
+    fn stale_tmp_snapshot_never_replaces_the_good_one() {
+        std::env::set_var("DB_SMOKE", "1"); // keep engine-build training small
+        let (records, _, _) = record_grid_trace();
+        let snap_path = std::env::temp_dir().join(format!(
+            "db-serve-atomic-snapshot-{}.snap",
+            std::process::id()
+        ));
+        let tmp = tmp_path(&snap_path);
+        let _ = std::fs::remove_file(&snap_path);
+        let opts = ServeOptions {
+            addr: DEFAULT_ADDR.into(),
+            snapshot: Some(snap_path.clone()),
+            window_cap: 0,
+            prom_addr: None,
+        };
+        let clock = |replies: &[Frame]| {
+            replies.iter().find_map(|f| match f {
+                Frame::Stats { now_ns, ticks, .. } => Some((*now_ns, *ticks)),
+                _ => None,
+            })
+        };
+
+        // First daemon: ingest part of the trace and persist a snapshot.
+        let mut frames = vec![grid_hello()];
+        frames.extend(
+            records[..2048]
+                .chunks(512)
+                .map(|c| Frame::Records(c.to_vec())),
+        );
+        frames.extend([Frame::SnapshotReq, Frame::StatsReq]);
+        let replies = run_session(&Shared::new(&opts), &frames);
+        let good = replies
+            .iter()
+            .find_map(|f| match f {
+                Frame::Snapshot(b) => Some(b.clone()),
+                _ => None,
+            })
+            .expect("snapshot frame");
+        let before = clock(&replies).expect("stats frame");
+        assert_eq!(std::fs::read(&snap_path).unwrap(), good);
+        assert!(!tmp.exists(), "the staging file is renamed away");
+
+        // A crash mid-write leaves a truncated staging file behind.
+        std::fs::write(&tmp, &good[..good.len() / 2]).unwrap();
+
+        // Second daemon: restores from the good snapshot, untouched.
+        let replies = run_session(
+            &Shared::new(&opts),
+            &[grid_hello(), Frame::StatsReq, Frame::SnapshotReq],
+        );
+        assert!(
+            matches!(replies[0], Frame::HelloAck { restored: true, .. }),
+            "got {:?}",
+            replies[0]
+        );
+        assert_eq!(clock(&replies), Some(before), "restored engine clock");
+        // Its own persist replaced the stale staging file, then moved it.
+        assert!(!tmp.exists());
+        assert_eq!(std::fs::read(&snap_path).unwrap(), good);
+        let _ = std::fs::remove_file(&snap_path);
     }
 }
